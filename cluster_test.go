@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -204,7 +205,9 @@ func TestReplicaKeyedFollowsWriter(t *testing.T) {
 // membership handle.
 type clusterNode struct {
 	srv *httptest.Server
-	c   *Cluster
+	// c is published by the test goroutine once the node joins and read by
+	// the serve stub's handler goroutines.
+	c atomic.Pointer[Cluster]
 }
 
 func TestClusterElectionAndFailover(t *testing.T) {
@@ -218,15 +221,18 @@ func TestClusterElectionAndFailover(t *testing.T) {
 	for i := range nodes {
 		n := &clusterNode{}
 		n.srv = httptest.NewServer(feedMux(func() *Engine {
-			if n.c == nil {
-				return nil
+			if c := n.c.Load(); c != nil {
+				return c.Engine()
 			}
-			return n.c.Engine()
+			return nil
 		}))
 		nodes[i] = n
 	}
 	defer func() {
 		for _, n := range nodes {
+			// A failed assertion leaves feed streams open; drop them so
+			// Close does not wait on them forever.
+			n.srv.CloseClientConnections()
 			n.srv.Close()
 		}
 	}()
@@ -249,24 +255,24 @@ func TestClusterElectionAndFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("join node-%d: %v", i, err)
 		}
-		nodes[i].c = c
+		nodes[i].c.Store(c)
 	}
 	join(0)
-	if nodes[0].c.Role() != RoleWriter {
-		t.Fatalf("first joiner role = %v, want writer", nodes[0].c.Role())
+	if nodes[0].c.Load().Role() != RoleWriter {
+		t.Fatalf("first joiner role = %v, want writer", nodes[0].c.Load().Role())
 	}
-	writer := nodes[0].c.Engine()
+	writer := nodes[0].c.Load().Engine()
 	if _, err := writer.Rank(ctx); err != nil {
 		t.Fatalf("writer rank: %v", err)
 	}
 	join(1)
 	join(2)
 	for i := 1; i <= 2; i++ {
-		if nodes[i].c.Role() != RoleReplica {
-			t.Fatalf("node-%d role = %v, want replica", i, nodes[i].c.Role())
+		if nodes[i].c.Load().Role() != RoleReplica {
+			t.Fatalf("node-%d role = %v, want replica", i, nodes[i].c.Load().Role())
 		}
-		if nodes[i].c.LeaderURL() != nodes[0].srv.URL {
-			t.Fatalf("node-%d leader = %q, want %q", i, nodes[i].c.LeaderURL(), nodes[0].srv.URL)
+		if nodes[i].c.Load().LeaderURL() != nodes[0].srv.URL {
+			t.Fatalf("node-%d leader = %q, want %q", i, nodes[i].c.Load().LeaderURL(), nodes[0].srv.URL)
 		}
 	}
 
@@ -283,7 +289,7 @@ func TestClusterElectionAndFailover(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 2; i++ {
-		eng := nodes[i].c.Engine()
+		eng := nodes[i].c.Load().Engine()
 		waitFor(t, fmt.Sprintf("node-%d catch-up", i), 15*time.Second, func() bool {
 			v, err := eng.View()
 			return err == nil && v.Seq() == seq
@@ -296,19 +302,19 @@ func TestClusterElectionAndFailover(t *testing.T) {
 	// Kill the writer (Halt = in-process kill -9: lease NOT released) and
 	// its listener; a replica must steal the expired lease, promote, resume
 	// the WAL sequence, and accept writes.
-	nodes[0].c.Halt()
+	nodes[0].c.Load().Halt()
 	nodes[0].srv.Close()
 	var promoted *clusterNode
 	waitFor(t, "writer promotion", 30*time.Second, func() bool {
 		for _, n := range nodes[1:] {
-			if n.c.Role() == RoleWriter {
+			if n.c.Load().Role() == RoleWriter {
 				promoted = n
 				return true
 			}
 		}
 		return false
 	})
-	neweng := promoted.c.Engine()
+	neweng := promoted.c.Load().Engine()
 	if neweng.Stats().Replication.Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", neweng.Stats().Replication.Failovers)
 	}
@@ -334,22 +340,22 @@ func TestClusterElectionAndFailover(t *testing.T) {
 			survivor = n
 		}
 	}
-	seng := survivor.c.Engine()
+	seng := survivor.c.Load().Engine()
 	waitFor(t, "survivor re-point", 30*time.Second, func() bool {
 		v, err := seng.View()
-		return err == nil && v.Seq() == next && survivor.c.LeaderURL() == promoted.srv.URL
+		return err == nil && v.Seq() == next && survivor.c.Load().LeaderURL() == promoted.srv.URL
 	})
 	if d := rankDiff(t, neweng, seng); d > 1e-12 {
 		t.Fatalf("survivor ranks diverge after failover: L∞ = %g", d)
 	}
 
-	if err := promoted.c.Close(); err != nil {
+	if err := promoted.c.Load().Close(); err != nil {
 		t.Fatalf("close promoted: %v", err)
 	}
-	if err := survivor.c.Close(); err != nil {
+	if err := survivor.c.Load().Close(); err != nil {
 		t.Fatalf("close survivor: %v", err)
 	}
-	_ = nodes[0].c.Engine().Close() // halted node: engine abandoned, close quietly
+	_ = nodes[0].c.Load().Engine().Close() // halted node: engine abandoned, close quietly
 }
 
 // ringEdges builds a directed ring over n vertices.

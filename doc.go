@@ -83,7 +83,12 @@
 // unchanged, with writes bouncing as ErrNotWriter and
 // Stats().Replication reporting role, applied sequence and lag. A replica
 // replays the writer's round boundaries, so a follower that keeps pace
-// carries bitwise-identical ranks. JoinCluster adds membership and
+// carries bitwise-identical ranks. A replica is built from the leader's
+// checkpoint by the same constructor a warm restart uses, and applies
+// streamed records the way a warm restart replays its tail: every version
+// any engine publishes comes from one of two paths, rounds the engine logs
+// itself (Apply, Grow, ApplyKeyed, ingest rounds) or records already in a
+// log (a stream, a promotion's tail, a restart's tail). JoinCluster adds membership and
 // failover on top: nodes share the durability directory, the writer holds
 // a TTL lease, and when it dies a replica promotes itself — replaying the
 // shared log tail, taking over the feed, and resuming the WAL sequence

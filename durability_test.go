@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"dfpr/internal/fault"
-	"dfpr/internal/topk"
+	"dfpr/internal/graph"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 	"dfpr/internal/wal"
 )
 
@@ -488,8 +490,8 @@ func TestDurableModeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
-	if _, err := Open(durableOpts(dense)...); err == nil {
-		t.Fatal("Open accepted a dense-ID engine's state")
+	if _, err := Open(durableOpts(dense)...); err == nil || !strings.Contains(err.Error(), "with New, not Open") {
+		t.Fatalf("Open of a dense-ID engine's state: err = %v, want one advising New", err)
 	}
 
 	keyed := t.TempDir()
@@ -501,7 +503,87 @@ func TestDurableModeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	keng.Close()
-	if _, err := New(4, nil, durableOpts(keyed)...); err == nil {
-		t.Fatal("New accepted a keyed engine's state")
+	// The keyed state here is an empty checkpoint plus a keyed WAL tail, so
+	// the rejection comes from the tail replay.
+	if _, err := New(4, nil, durableOpts(keyed)...); err == nil || !strings.Contains(err.Error(), "with Open, not New") {
+		t.Fatalf("New of a keyed engine's state: err = %v, want one advising Open", err)
+	}
+}
+
+// TestApplyLoggedBranches drives applyLogged — the one publish path for
+// records already in a log (replica stream, promotion tail, warm-restart
+// replay) — through every branch. A rejected run must leave the engine as
+// it was: no version published, no key interned.
+func TestApplyLoggedBranches(t *testing.T) {
+	ctx := context.Background()
+	// dense is a dense-ID engine at version 2, so records 1 and 2 overlap.
+	dense := func(t *testing.T) *Engine {
+		e, err := New(4, ringEdges(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := uint32(0); u < 2; u++ {
+			if _, err := e.Apply(ctx, nil, []Edge{{U: u, V: 3}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	// keyed is a keyed engine at version 1 holding keys a and b.
+	keyed := func(t *testing.T) *Engine {
+		e, err := Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ApplyKeyed(ctx, nil, []KeyEdge{{From: "a", To: "b"}}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	keyC := wal.Record{Seq: 2, N: 3, KeyBase: 2, Keys: []string{"c"}, Ins: []graph.Edge{{U: 2, V: 0}}}
+	cases := []struct {
+		name    string
+		eng     func(*testing.T) *Engine
+		recs    []wal.Record
+		applied int
+		err     string // substring of the rejection; "" for success
+		version uint64
+		keys    int
+	}{
+		{name: "empty input is a no-op", eng: dense, version: 2},
+		{name: "overlap skipped", eng: dense, recs: []wal.Record{
+			{Seq: 1, N: 4}, {Seq: 2, N: 4}, {Seq: 3, N: 6, Ins: []graph.Edge{{U: 0, V: 5}}},
+		}, applied: 1, version: 3},
+		{name: "only overlap", eng: dense, recs: []wal.Record{{Seq: 1, N: 4}, {Seq: 2, N: 4}}, version: 2},
+		{name: "gap rejected", eng: dense, recs: []wal.Record{{Seq: 4, N: 4}}, err: "gap", version: 2},
+		{name: "gap after a valid record rejected", eng: keyed, recs: []wal.Record{keyC, {Seq: 4, N: 3}},
+			err: "gap", version: 1, keys: 2},
+		{name: "key base mismatch rejected", eng: keyed, recs: []wal.Record{{Seq: 2, N: 3, KeyBase: 5, Keys: []string{"c"}}},
+			err: "keys from id 5", version: 1, keys: 2},
+		{name: "keyed record on a dense engine rejected", eng: dense, recs: []wal.Record{{Seq: 3, N: 5, KeyBase: 4, Keys: []string{"x"}}},
+			err: "dense-ID engine", version: 2},
+		{name: "keyed record extends the key space", eng: keyed, recs: []wal.Record{keyC}, applied: 1, version: 2, keys: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.eng(t)
+			defer e.Close()
+			n, err := e.applyLogged(tc.recs)
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatalf("applyLogged: %v", err)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("applyLogged err = %v, want one mentioning %q", err, tc.err)
+			}
+			if n != tc.applied {
+				t.Errorf("applied %d records, want %d", n, tc.applied)
+			}
+			if v := e.Version(); v != tc.version {
+				t.Errorf("version %d, want %d", v, tc.version)
+			}
+			if k := e.Keys(); k != tc.keys {
+				t.Errorf("%d keys, want %d", k, tc.keys)
+			}
+		})
 	}
 }

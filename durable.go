@@ -1,6 +1,7 @@
 package dfpr
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,9 @@ import (
 )
 
 // This file wires the durability subsystem (internal/wal) into the engine:
-// construction-time recovery (openDurable), the log-before-publish apply
-// path (storeApply), background checkpointing off the publish path, and the
+// construction-time recovery (openDurable, engineAt), the log-before-publish
+// apply path (storeApply), the path for records already in a log
+// (applyLogged), background checkpointing off the publish path, and the
 // observability surface (Recovering, Stats.Durability, Checkpoint).
 
 // durability is the engine's durable-state sidecar.
@@ -59,15 +61,7 @@ func HasDurableState(dir string) (bool, error) {
 // and the WAL tail is replayed through the normal apply path. Persisted
 // state takes precedence over the n/edges arguments.
 func openDurable(n int, edges []Edge, st settings) (*Engine, error) {
-	// The fsync histogram is registered ahead of the log so the hook exists
-	// for fsyncs issued during recovery; the engine's initTelemetry later
-	// get-or-creates the same series.
-	fsyncSeconds := st.tel.Histogram("dfpr_wal_fsync_seconds",
-		"WAL fsync latency (per Append under FsyncAlways, per flush otherwise).", walBuckets())
-	log, rec, err := wal.Open(st.durDir, wal.Options{
-		Mode: st.fsync.mode, Interval: st.fsync.interval, FS: st.walFS,
-		OnFsync: func(d time.Duration) { fsyncSeconds.Observe(d.Seconds()) },
-	})
+	log, rec, err := openLog(st.durDir, st)
 	if err != nil {
 		return nil, fmt.Errorf("dfpr: open durability dir: %w", err)
 	}
@@ -84,6 +78,19 @@ func openDurable(n int, edges []Edge, st settings) (*Engine, error) {
 	return e, nil
 }
 
+// openLog opens the write-ahead log in dir under st's fsync policy — for
+// construction and for promotion alike. The fsync histogram is registered
+// ahead of the log so the hook exists for fsyncs issued during recovery; the
+// engine's initTelemetry get-or-creates the same series.
+func openLog(dir string, st settings) (*wal.Log, *wal.Recovered, error) {
+	fsyncSeconds := st.tel.Histogram("dfpr_wal_fsync_seconds",
+		"WAL fsync latency (per Append under FsyncAlways, per flush otherwise).", walBuckets())
+	return wal.Open(dir, wal.Options{
+		Mode: st.fsync.mode, Interval: st.fsync.interval, FS: st.walFS,
+		OnFsync: func(d time.Duration) { fsyncSeconds.Observe(d.Seconds()) },
+	})
+}
+
 // seedDurable builds a fresh engine and writes its version-0 state as the
 // seed checkpoint, anchoring all future replay.
 func seedDurable(n int, edges []Edge, st settings, log *wal.Log) (*Engine, error) {
@@ -91,45 +98,59 @@ func seedDurable(n int, edges []Edge, st settings, log *wal.Log) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	d := &durability{log: log, ckptEvery: uint64(st.ckptEvery)}
-	if e.keys != nil {
-		d.keysLogged = e.keys.Len()
-	}
-	e.dur.Store(d)
-	e.initDurabilityTelemetry()
-	cur := e.store.Current()
-	ckpt := &wal.State{Seq: cur.Seq, Graph: cur.G}
-	if e.keys != nil {
-		ckpt.Keys = e.keys.KeysRange(0, e.keys.Len())
-	}
-	if err := log.WriteCheckpoint(ckpt); err != nil {
+	e.adoptLog(log, 0, 0, 0)
+	if err := e.Checkpoint(); err != nil {
 		// A directory that cannot take its seed checkpoint would be
 		// unrecoverable; refuse to start rather than run silently volatile.
 		return nil, fmt.Errorf("dfpr: seed checkpoint: %w", err)
 	}
-	d.noteCheckpoint(cur.Seq)
 	return e, nil
 }
 
-// recoverDurable rebuilds an engine from recovered state: store sealed at
-// the checkpoint's version, ranker resumed at the checkpointed vector, tail
-// replayed on top. The engine serves reads at the checkpointed rank version
-// immediately; Recovering reports true until a Rank catches the replayed
-// tip (the serve layer holds writes off with 503 meanwhile).
+// recoverDurable rebuilds an engine from recovered state: engineAt seals the
+// store at the checkpoint's version and resumes the checkpointed ranks, then
+// applyLogged folds the WAL tail on top. Resuming BEFORE the replay makes
+// the ranker's parent version the store's base, so the first Rank refreshes
+// the tail incrementally as one coalesced span — the refresh a live engine
+// takes when it is several versions behind. The engine serves reads at the
+// checkpointed rank version immediately; Recovering reports true until a
+// Rank catches the replayed tip (the serve layer holds writes off with 503
+// meanwhile).
 func recoverDurable(st settings, log *wal.Log, rec *wal.Recovered) (*Engine, error) {
-	ck := rec.Checkpoint
+	e, err := engineAt(st, rec.Checkpoint)
+	if err != nil {
+		return nil, fmt.Errorf("dfpr: recover %s: %w", st.durDir, err)
+	}
+	replayed, err := e.applyLogged(rec.Tail)
+	if errors.Is(err, errKeyedOnDense) {
+		return nil, fmt.Errorf("dfpr: %s holds a keyed engine's state — recover it with Open, not New", st.durDir)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dfpr: recover %s: replay tail: %w", st.durDir, err)
+	}
+	e.adoptLog(log, rec.Checkpoint.Seq, replayed, rec.Checkpoint.Seq)
+	return e, nil
+}
+
+// engineAt builds an engine sealed at checkpointed state — the one
+// constructor shared by warm restart (a local checkpoint) and replica
+// bootstrap (a leader's feed checkpoint). The key space is re-interned in
+// its dense order and, when the checkpoint carries ranks, the ranker is
+// resumed at them without recomputation and published as a view right away:
+// reads come back at the checkpointed watermark before any refresh.
+func engineAt(st settings, ck *wal.State) (*Engine, error) {
 	if keyedState := len(ck.Keys) > 0; keyedState != st.keyed && (keyedState || ck.Graph.N() > 0) {
 		if keyedState {
-			return nil, fmt.Errorf("dfpr: %s holds a keyed engine's state — recover it with Open, not New", st.durDir)
+			return nil, errors.New("checkpoint holds a keyed engine's state — open it with Open, not New")
 		}
-		return nil, fmt.Errorf("dfpr: %s holds a dense-ID engine's state — recover it with New, not Open", st.durDir)
+		return nil, errors.New("checkpoint holds a dense-ID engine's state — open it with New, not Open")
 	}
 	if ck.Graph.N() > st.maxN {
-		return nil, fmt.Errorf("dfpr: recovered state holds %d vertices, beyond the bound %d (WithMaxVertices): %w",
+		return nil, fmt.Errorf("checkpoint holds %d vertices, beyond the bound %d (WithMaxVertices): %w",
 			ck.Graph.N(), st.maxN, ErrTooManyVertices)
 	}
 	if len(ck.Keys) > 0 && len(ck.Keys) < ck.Graph.N() {
-		return nil, fmt.Errorf("dfpr: recovered checkpoint covers %d vertices with only %d keys", ck.Graph.N(), len(ck.Keys))
+		return nil, fmt.Errorf("checkpoint covers %d vertices with only %d keys", ck.Graph.N(), len(ck.Keys))
 	}
 	e := &Engine{
 		opts:     st,
@@ -138,77 +159,115 @@ func recoverDurable(st settings, log *wal.Log, rec *wal.Recovered) (*Engine, err
 		applyble: true,
 	}
 	e.initTelemetry(st.tel)
-	d := &durability{log: log, ckptEvery: uint64(st.ckptEvery)}
-	e.dur.Store(d)
-	e.initDurabilityTelemetry()
-	d.noteCheckpoint(ck.Seq)
 	if st.keyed {
 		e.keys = keymap.New()
 		for i, k := range ck.Keys {
 			if id := e.keys.Intern(k); int(id) != i {
-				return nil, fmt.Errorf("dfpr: recovered checkpoint repeats key %q", k)
+				return nil, fmt.Errorf("checkpoint repeats key %q", k)
 			}
 		}
-		d.keysLogged = len(ck.Keys)
+		e.keys.Sync()
 	}
-	// Resume the rank vector BEFORE replaying the tail: the ranker's parent
-	// version is then the store's base, so the first Rank replays the tail
-	// incrementally — the same refresh path a live engine would have taken.
 	if ck.Ranks != nil {
 		rk, err := snapshot.ResumeRanker(e.store, st.algo, st.cfg, ck.Ranks, ck.Seq)
 		if err != nil {
-			return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
+			return nil, fmt.Errorf("resume checkpointed ranks: %w", err)
 		}
-		rk.DisableFallback = st.noFallback
-		rk.CoalesceSpans = !st.uncoalesced
-		e.ranker = rk
-		// Publish the checkpointed ranks as a view right away: reads come
-		// back at the pre-crash watermark without waiting for a refresh.
+		e.adoptRanker(rk)
 		e.publishLocked(&Result{Seq: ck.Seq, Converged: true})
 	}
-	// Replay the tail through the store (NOT storeApply — these records are
-	// already durable; re-logging them would double the log). The wal layer
-	// guaranteed contiguity from ck.Seq+1. The records are folded into ONE
-	// merged application landing at the tail's tip sequence: a store version
-	// costs a full CSR materialisation, so per-record replay would make
-	// restart time scale with tail length; merged replay makes it one
-	// snapshot regardless. The resumed ranker sees the merged batch as a
-	// single coalesced span — the same shape a live engine's refresh takes
-	// when it is several versions behind.
-	ups := make([]batch.Update, 0, len(rec.Tail))
-	for _, r := range rec.Tail {
-		if e.keys == nil && len(r.Keys) > 0 {
-			// The checkpoint predated the first key (so the flavour check
-			// above could not tell), but the tail is unmistakably keyed.
-			return nil, fmt.Errorf("dfpr: %s holds a keyed engine's state — recover it with Open, not New", st.durDir)
+	e.verWM.init(ck.Seq)
+	return e, nil
+}
+
+// adoptLog installs the durability sidecar over log once the engine holds
+// every logged record: ckptSeq is the log's newest checkpoint, replayed the
+// number of tail records applied on top of it, and ranked the rank version
+// already served. While ranks trail the current version Recovering reports
+// true. Warm restart, promotion and seeding all end here.
+func (e *Engine) adoptLog(log *wal.Log, ckptSeq uint64, replayed int, ranked uint64) {
+	d := &durability{log: log, ckptEvery: uint64(e.opts.ckptEvery), replayed: replayed}
+	if e.keys != nil {
+		d.keysLogged = e.keys.Len()
+	}
+	d.noteCheckpoint(ckptSeq)
+	d.recoverTip = e.store.Current().Seq
+	d.recovering.Store(d.recoverTip > ranked)
+	e.dur.Store(d)
+	e.initDurabilityTelemetry()
+}
+
+// applyLogged is the one path for rounds already in a write-ahead log: a
+// replica's stream, the tail a promoted replica had not streamed yet, and
+// the tail replayed at warm restart. Appending them again would double the
+// log (or fork the writer's), so they skip storeApply. Records at or below
+// the current version are skipped (promotion replays a tail that may
+// overlap the stream); the rest must continue the version sequence without
+// a gap, keyed records must extend the key space exactly where it ends, and
+// a dense-ID engine takes no keyed record. Every check runs before anything
+// changes, so a rejected run leaves the engine as it was. The accepted
+// records are folded into ONE merged application landing at their tip: a
+// store version costs a CSR materialisation, so per-record application
+// would make catch-up scale with the run's length. The resumed ranker
+// refreshes the merged batch as a single coalesced span. It returns how
+// many records were applied.
+func (e *Engine) applyLogged(recs []wal.Record) (int, error) {
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if !e.applyble {
+		return 0, ErrClosed
+	}
+	cur := e.store.Current()
+	nkeys := 0
+	if e.keys != nil {
+		nkeys = e.keys.Len()
+	}
+	var ups []batch.Update
+	var keyed []*wal.Record // accepted records that carry keys
+	for i := range recs {
+		r := &recs[i]
+		tip := cur.Seq + uint64(len(ups))
+		if r.Seq <= tip {
+			continue
 		}
-		if e.keys != nil && len(r.Keys) > 0 {
-			if int(r.KeyBase) != e.keys.Len() {
-				return nil, fmt.Errorf("dfpr: replay record %d logs keys from id %d, key space has %d", r.Seq, r.KeyBase, e.keys.Len())
+		if r.Seq != tip+1 {
+			return 0, fmt.Errorf("log gap: record %d follows version %d", r.Seq, tip)
+		}
+		if len(r.Keys) > 0 {
+			if e.keys == nil {
+				return 0, fmt.Errorf("%w: record %d", errKeyedOnDense, r.Seq)
 			}
-			for _, k := range r.Keys {
-				e.keys.Intern(k)
+			if int(r.KeyBase) != nkeys {
+				return 0, fmt.Errorf("record %d logs keys from id %d, key space has %d", r.Seq, r.KeyBase, nkeys)
 			}
+			nkeys += len(r.Keys)
+			keyed = append(keyed, r)
 		}
 		ups = append(ups, batch.Update{Del: r.Del, Ins: r.Ins, N: int(r.N)})
 	}
-	if len(ups) > 0 {
-		//lint:allow lockorder replaying already-durable records; appending them again would double-log the tail
-		e.store.ApplyAt(batch.Merge(ups...), ck.Seq+uint64(len(ups)))
-		d.replayed = len(ups)
+	if len(ups) == 0 {
+		return 0, nil
 	}
-	if e.keys != nil {
-		d.keysLogged = e.keys.Len()
+	for _, r := range keyed {
+		for _, k := range r.Keys {
+			e.keys.Intern(k)
+		}
+	}
+	if len(keyed) > 0 {
 		e.keys.Sync()
 	}
-	tip := e.store.Current().Seq
-	e.verWM.init(tip)
-	d.recoverTip = tip
-	if tip > ck.Seq {
-		d.recovering.Store(true)
-	}
-	return e, nil
+	tip := cur.Seq + uint64(len(ups))
+	up := batch.Merge(ups...)
+	e.met.notePublished(cur.G.N(), up.Universe(cur.G.N()))
+	//lint:allow lockorder records in a log are already durable; storeApply would append them again
+	e.store.ApplyAt(up, tip)
+	e.verWM.advance(tip)
+	return len(ups), nil
 }
+
+// errKeyedOnDense rejects a logged record carrying keys on a dense-ID
+// engine; recovery turns it into advice to open the directory with Open.
+var errKeyedOnDense = errors.New("keyed record on a dense-ID engine")
 
 // storeApply publishes one batch through the store, appending its WAL
 // record first when durability is on (log-before-publish: the record hits

@@ -137,7 +137,7 @@ type Engine struct {
 	met *engineMetrics
 
 	// Watermarks for the completion APIs: verWM tracks published graph
-	// versions (Apply and ingest rounds), rankWM published rank versions.
+	// versions (publish and applyLogged), rankWM published rank versions.
 	verWM  watermark
 	rankWM watermark
 }
@@ -264,22 +264,31 @@ func (e *Engine) errIfFollower() error {
 	return nil
 }
 
-// applyInternal publishes one converted batch, excluding a concurrent Close
-// without making writers wait behind Rank: the read side keeps concurrent
-// Applies concurrent (the store serialises them itself), so no version can
-// be published after Close returns.
+// applyInternal bounds-checks one converted batch and publishes it — the
+// shared tail of Apply, Grow and ApplyKeyed.
 func (e *Engine) applyInternal(up batch.Update) (uint64, error) {
 	if err := e.checkUniverse(up); err != nil {
 		return 0, err
 	}
+	return e.publish(up)
+}
+
+// publish is the one path for rounds this engine logs itself (Apply, Grow,
+// ApplyKeyed, and the ingest loop's coalesced rounds): storeApply logs the
+// round ahead of making it visible, then the graph-version watermark
+// advances. It takes the read side of the close exclusion, so concurrent
+// publishes stay concurrent (the store serialises them itself), writers
+// never wait behind Rank, and no version can be published after Close
+// returns. Rounds already in a log take applyLogged instead.
+func (e *Engine) publish(up batch.Update) (uint64, error) {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if !e.applyble {
 		return 0, ErrClosed
 	}
-	next := e.storeApply(up)
-	e.verWM.advance(next.Seq)
-	return next.Seq, nil
+	seq := e.storeApply(up).Seq
+	e.verWM.advance(seq)
+	return seq, nil
 }
 
 // checkUniverse rejects a batch that would grow the vertex universe past
@@ -344,9 +353,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return failedResultOf(res, 0), err
 		}
-		rk.DisableFallback = e.opts.noFallback
-		rk.CoalesceSpans = !e.opts.uncoalesced
-		e.ranker = rk
+		e.adoptRanker(rk)
 		e.syncStatsLocked()
 		// The initial convergence covers every version up to the current
 		// one, matching what Behind() reported before the call.
@@ -379,6 +386,15 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		out.View = e.latest.Load()
 	}
 	return out, nil
+}
+
+// adoptRanker installs rk as the engine's ranker under the configured
+// fallback and span-coalescing settings — for the first convergence and
+// for a ranker resumed from checkpointed ranks alike.
+func (e *Engine) adoptRanker(rk *snapshot.Ranker) {
+	rk.DisableFallback = e.opts.noFallback
+	rk.CoalesceSpans = !e.opts.uncoalesced
+	e.ranker = rk
 }
 
 // RankTrace is Rank with frontier observability for the Dynamic Frontier

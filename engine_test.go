@@ -12,8 +12,8 @@ import (
 	"dfpr/internal/core"
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
-	"dfpr/internal/topk"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 )
 
 // testGraph builds a small RMAT graph and returns it in both the public
@@ -264,8 +264,10 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 		return c
 	}
 
+	// The writer fills published alone; the consumer reads it only after
+	// writer.Wait — a pushed update can reach the consumer before the
+	// writer's Rank has returned and recorded the version's checksum.
 	const versions = 20
-	var mu sync.Mutex
 	published := make(map[uint64]float64)
 
 	var writer sync.WaitGroup
@@ -277,9 +279,7 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 			t.Error(err)
 			return
 		} else {
-			mu.Lock()
 			published[res.Seq] = checksum(res.View)
-			mu.Unlock()
 		}
 		for i := 0; i < versions; i++ {
 			up := batch.Random(mirror, 8, int64(500+i))
@@ -293,13 +293,16 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			mu.Lock()
 			published[res.Seq] = checksum(res.View)
-			mu.Unlock()
 		}
 	}()
 
+	type received struct {
+		seq uint64
+		sum float64
+	}
 	var got []uint64
+	var recv []received
 	for u := range sub.Updates() {
 		if u.View == nil {
 			t.Fatalf("update %d without view", u.Seq)
@@ -307,19 +310,21 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 		if u.View.Seq() != u.Seq {
 			t.Fatalf("update says version %d, view pinned to %d", u.Seq, u.View.Seq())
 		}
-		mu.Lock()
-		want, ok := published[u.Seq]
-		mu.Unlock()
-		if !ok {
-			t.Fatalf("received version %d that was never published", u.Seq)
-		}
-		if c := checksum(u.View); c != want {
-			t.Fatalf("version %d: consumer checksum %v != publisher %v (torn or stale view)", u.Seq, c, want)
-		}
 		got = append(got, u.Seq)
+		recv = append(recv, received{u.Seq, checksum(u.View)})
 		time.Sleep(2 * time.Millisecond) // lag deliberately so the stream conflates
 	}
 	writer.Wait()
+
+	for _, r := range recv {
+		want, ok := published[r.seq]
+		if !ok {
+			t.Fatalf("received version %d that was never published", r.seq)
+		}
+		if r.sum != want {
+			t.Fatalf("version %d: consumer checksum %v != publisher %v (torn or stale view)", r.seq, r.sum, want)
+		}
+	}
 
 	if len(got) == 0 {
 		t.Fatal("consumer saw no updates")

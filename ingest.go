@@ -190,11 +190,11 @@ func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*
 		e.ingestMu.Unlock()
 		return nil, ErrClosed
 	}
-	if e.opts.queue > 0 && e.ingestEdits+size > e.opts.queue {
+	if queued := e.ingestEdits; e.opts.queue > 0 && queued+size > e.opts.queue {
 		e.ingestMu.Unlock()
 		e.met.rejectFull.Inc()
 		return nil, fmt.Errorf("dfpr: %d edits queued, %d more would exceed the bound %d: %w",
-			e.ingestEdits, size, e.opts.queue, ErrQueueFull)
+			queued, size, e.opts.queue, ErrQueueFull)
 	}
 	e.ingestQ = append(e.ingestQ, pendingSubmit{del: gdel, ins: gins, n: up.N, t: t})
 	e.ingestEdits += size
@@ -362,37 +362,23 @@ func (e *Engine) ingestLoop() {
 					close(p.t.done)
 				}
 			} else {
-				// Share the close-exclusion side like Apply: no version may
-				// be published once Close has flipped applyble (stopIngest
+				// publish shares the close exclusion with Apply: no version
+				// is published once Close has flipped applyble (stopIngest
 				// runs before that flip, so in practice the loop is gone
-				// first).
-				e.closeMu.RLock()
-				ok := e.applyble
-				var seq uint64
-				if ok {
-					// storeApply is the log-before-publish point: on durable
-					// engines the round's WAL record is appended (fsynced per
-					// policy) before the version becomes visible.
-					next := e.storeApply(merged)
-					seq = next.Seq
+				// first). On durable engines the round's WAL record is
+				// appended (fsynced per policy) before the version is visible.
+				seq, err := e.publish(merged)
+				for _, p := range q {
+					p.t.seq, p.t.err = seq, err
+					close(p.t.done)
 				}
-				e.closeMu.RUnlock()
-				if !ok {
-					for _, p := range q {
-						p.t.err = ErrClosed
-						close(p.t.done)
-					}
+				if err != nil {
 					for _, f := range flushes {
-						f.err = ErrClosed
+						f.err = err
 						close(f.done)
 					}
 					continue
 				}
-				for _, p := range q {
-					p.t.seq = seq
-					close(p.t.done)
-				}
-				e.verWM.advance(seq)
 				e.ingestRounds.Add(1)
 				e.ingestCoalesced.Add(int64(merged.Size()))
 				if pending == 0 {

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"dfpr/internal/batch"
-	"dfpr/internal/topk"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 )
 
 // ingestEngine converges a small engine configured for pipeline tests.

@@ -12,7 +12,8 @@ import (
 // mid-pass, so multi-threaded pass membership is timing-dependent in both
 // loops), as do all lock-free variants (asynchronous pass order); the
 // remaining barrier-based variants run at 4 threads, where Jacobi's
-// immutable read vectors make results schedule-independent.
+// immutable read vectors make results schedule-independent. The
+// cached-kernel equivalence test (cache_test.go) uses the same rule.
 
 func blockedEquivThreads(a Algo) int {
 	if a.LockFree() || a == AlgoDFBB {

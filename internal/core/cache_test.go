@@ -54,13 +54,8 @@ func TestCachedKernelMatchesSeedKernel(t *testing.T) {
 		cfg := Config{
 			Tol:     1e-300, // unreachable: both runs do exactly MaxIter sweeps
 			MaxIter: 20,
-			Threads: 4,
+			Threads: blockedEquivThreads(a), // deterministic pass order (blocked_test.go)
 			Chunk:   64,
-		}
-		if a.LockFree() {
-			// Lock-free runs are asynchronous; one worker makes the pass
-			// order (and therefore the arithmetic) deterministic.
-			cfg.Threads = 1
 		}
 		in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
 

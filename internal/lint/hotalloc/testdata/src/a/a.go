@@ -153,7 +153,7 @@ func (v *view) coldFallback(k string) int {
 	if n, ok := v.dense[k]; ok {
 		return n
 	}
-	v.mu.RLock() //lint:allow hotalloc cold dirty-tail fallback, measured rare
+	v.mu.RLock()         //lint:allow hotalloc cold dirty-tail fallback, measured rare
 	defer v.mu.RUnlock() //lint:allow hotalloc cold path only
 	return v.dense[k]
 }

@@ -12,6 +12,8 @@
 //  2. ingestMu is a leaf. It guards the submit queue and lifecycle flags
 //     and is NEVER held across an apply or a rank — the ingest loop drops
 //     it before publishing so submitters are not blocked behind a sweep.
+//     An apply is a store publish or a call to one of the Engine's publish
+//     paths (storeApply, publish, applyLogged).
 //  3. Log-before-publish. While holding the durability mutex, a publish
 //     through snapshot.Store.Apply* must be preceded by a wal Log.Append in
 //     the same critical section; and outside Engine.storeApply no
@@ -19,15 +21,21 @@
 //     wrapper is the single point where WAL ordering is enforced. (The
 //     store's own methods delegating to each other, and tests driving the
 //     store directly, are exempt; they are below the WAL, not around it.)
+//     The engine has two publish paths: Engine.publish, for rounds it logs
+//     itself through storeApply, and Engine.applyLogged, the one path for
+//     records already in a log (a replica's stream, a promotion's tail,
+//     warm-restart replay). applyLogged publishes through Store.ApplyAt
+//     without appending — appending would double the log — and carries
+//     the only //lint:allow lockorder in production code.
 //
 // The analysis is a linear, defer-aware scan of each function body (lock
 // intervals by source position, closures analyzed as their own scopes).
 // It is deliberately intra-procedural: the repo's convention is that no
 // function calls another Engine method while holding an Engine mutex
 // except through the documented *Locked helpers, so single-function
-// intervals capture the real discipline. Cross-function protocols that the
-// scan cannot see (recovery replay of already-durable records, say) carry
-// a //lint:allow lockorder with the reason.
+// intervals capture the real discipline. A cross-function protocol the
+// scan cannot see (applyLogged's records being durable already) carries a
+// //lint:allow lockorder with the reason.
 package lockorder
 
 import (
@@ -72,6 +80,10 @@ var ingestMuKey = lockKey{"Engine", "ingestMu"}
 
 // durMuKey is the durability serialisation mutex of rule 3.
 var durMuKey = lockKey{"durability", "mu"}
+
+// enginePublishers are the Engine methods that publish a graph version;
+// like a store publish or a Rank, none may run under ingestMu (rule 2).
+var enginePublishers = map[string]bool{"storeApply": true, "publish": true, "applyLogged": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	lintutil.ForEachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
@@ -165,7 +177,7 @@ func simulate(pass *analysis.Pass, fname string, body *ast.BlockStmt, exemptDire
 						fname, ev.callee)
 				}
 			}
-			if isPublish || ev.callee == "Rank" || ev.callee == "storeApply" {
+			if isPublish || ev.callee == "Rank" || (ev.recv == "Engine" && enginePublishers[ev.callee]) {
 				for _, h := range stack {
 					if h.key == ingestMuKey {
 						pass.Reportf(ev.pos, "%s calls %s while holding Engine.ingestMu; the ingest mutex is never held across an apply or a rank",

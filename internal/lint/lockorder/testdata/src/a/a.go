@@ -78,6 +78,15 @@ func (e *Engine) drainHeld(up Update) {
 	e.storeApply(up) // want `drainHeld calls storeApply while holding Engine\.ingestMu`
 }
 
+// publish is an Engine publish path too (it calls storeApply).
+func (e *Engine) publish(up Update) *Version { return e.storeApply(up) }
+
+func (e *Engine) drainPublishHeld(up Update) {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	e.publish(up) // want `drainPublishHeld calls publish while holding Engine\.ingestMu`
+}
+
 func (e *Engine) drainRankHeld() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -119,10 +128,16 @@ func (e *Engine) bypasses(up Update) {
 	e.store.ApplyAt(up, 1) // want `bypasses publishes through Store\.ApplyAt directly`
 }
 
-// A suppression carries the justification for the one legitimate bypass
-// (recovery replays records that are already durable).
-func (e *Engine) replay(up Update) {
-	e.store.ApplyAt(up, 1) //lint:allow lockorder replayed records are already durable
+// A suppression carries the justification for the one legitimate bypass:
+// applyLogged applies records that are already in a log.
+func (e *Engine) applyLogged(up Update) {
+	e.store.ApplyAt(up, 1) //lint:allow lockorder records in a log are already durable
+}
+
+func (e *Engine) replayHeld(up Update) {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	e.applyLogged(up) // want `replayHeld calls applyLogged while holding Engine\.ingestMu`
 }
 
 // A closure is its own scope: the goroutine holds nothing from the

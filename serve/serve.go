@@ -49,11 +49,11 @@
 // open on the dense side too: an applied edge naming an id beyond the
 // current vertex count grows the graph instead of erroring.
 //
-// Writes are asynchronous by default: the batch is coalesced with whatever
-// else is in flight, 202 Accepted names the version it landed in, and the
-// rank refresh runs behind the engine's RankPolicy. `?wait=ranked` turns a
-// request into read-your-ranks; WithSyncApply restores the old synchronous
-// apply+rank behaviour for comparison. A full ingest queue surfaces as 429.
+// Writes are asynchronous: the batch is coalesced with whatever else is in
+// flight, 202 Accepted names the version it landed in, and the rank
+// refresh runs behind the engine's RankPolicy. `?wait=ranked` turns a
+// request into read-your-ranks (under RankImmediate the refresh starts as
+// soon as the round publishes). A full ingest queue surfaces as 429.
 //
 // Errors are JSON too: {"error":"…"} with 400 (malformed request), 404
 // (unknown vertex/route), 410 (version evicted from retention), 429 (ingest
@@ -112,14 +112,13 @@ type Server struct {
 }
 
 type options struct {
-	defaultK  int
-	maxK      int
-	maxBatch  int
-	syncApply bool
-	maxWait   time.Duration
-	pprof     bool
-	log       *slog.Logger
-	cluster   ClusterInfo
+	defaultK int
+	maxK     int
+	maxBatch int
+	maxWait  time.Duration
+	pprof    bool
+	log      *slog.Logger
+	cluster  ClusterInfo
 }
 
 // ClusterInfo is the server's window into the replication membership: the
@@ -173,17 +172,6 @@ func WithMaxBatch(n int) Option {
 			return fmt.Errorf("serve: max batch %d must be positive", n)
 		}
 		o.maxBatch = n
-		return nil
-	}
-}
-
-// WithSyncApply restores the synchronous write path: /v1/apply publishes
-// the batch with Engine.Apply and runs a full Rank before responding
-// (default off — writes flow through the ingest pipeline and return 202).
-// Mainly a baseline for measuring what the asynchronous path buys.
-func WithSyncApply(sync bool) Option {
-	return func(o *options) error {
-		o.syncApply = sync
 		return nil
 	}
 }
@@ -270,6 +258,9 @@ func New(eng *dfpr.Engine, opts ...Option) (*Server, error) {
 	// for hours, and a duration histogram built from hour-long observations
 	// would poison the RED latency series every read shares.
 	s.mux.HandleFunc("GET /v1/feed", s.handleFeed)
+	// The http.Server exists from construction, so a Shutdown that runs
+	// before Serve still closes it: Serve then returns at once.
+	s.hs = &http.Server{Handler: s.mux}
 	s.proxy = &http.Client{Timeout: o.maxWait}
 	s.initTelemetry()
 	return s, nil
@@ -301,9 +292,10 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
-// Serve serves on an existing listener until Shutdown.
+// Serve serves on an existing listener until Shutdown. After a Shutdown —
+// even one that ran before Serve was called — it returns
+// http.ErrServerClosed at once.
 func (s *Server) Serve(l net.Listener) error {
-	s.hs = &http.Server{Handler: s.mux}
 	return s.hs.Serve(l)
 }
 
@@ -311,13 +303,11 @@ func (s *Server) Serve(l net.Listener) error {
 // in-flight requests run to completion (bounded by ctx), and the engine's
 // ingest queue is then flushed — every write accepted with a 202 is applied
 // and ranked before Shutdown returns, the drain a rolling deploy needs.
-// Calling it without a running listener still flushes the queue.
+// Calling it without a running listener still flushes the queue, and a
+// later Serve returns http.ErrServerClosed instead of serving.
 func (s *Server) Shutdown(ctx context.Context) error {
 	t0 := time.Now()
-	var err error
-	if s.hs != nil {
-		err = s.hs.Shutdown(ctx)
-	}
+	err := s.hs.Shutdown(ctx)
 	defer func() {
 		s.log.Info("server drained", "duration", time.Since(t0), "err", err)
 	}()
@@ -325,9 +315,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// PIPELINE has outstanding work — edits still queued (even ones whose
 	// handler timed out before acknowledging: they were accepted and must
 	// not be dropped at engine Close), or applied rounds the ranks have not
-	// covered yet. An idle, sync-mode, or never-written engine skips the
-	// flush, so teardown never hands surprise work to an engine that saw no
-	// pipeline traffic.
+	// covered yet. An idle or never-written engine skips the flush, so
+	// teardown never hands surprise work to an engine that saw no pipeline
+	// traffic.
 	st := s.eng.Stats()
 	if st.QueuedEdits > 0 || (st.IngestRounds > 0 && s.eng.Behind() > 0) {
 		if ferr := s.eng.Flush(ctx); ferr != nil && !errors.Is(ferr, dfpr.ErrClosed) && err == nil {
@@ -610,8 +600,6 @@ type applyResponse struct {
 	Version     uint64 `json:"version"`
 	RankVersion uint64 `json:"rank_version"`
 	Ranked      bool   `json:"ranked"`
-	Advanced    int    `json:"advanced,omitempty"`
-	Rebuilt     bool   `json:"rebuilt,omitempty"`
 }
 
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -651,12 +639,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.opts.syncApply {
-		s.applySync(w, r, del, ins, kdel, kins, keyed)
-		return
-	}
-
-	// Default path: enqueue onto the ingest pipeline. The only wait on the
+	// Enqueue onto the ingest pipeline. The only wait on the
 	// request path is for the coalescing round that assigns the version —
 	// the rank refresh runs behind the engine's policy, never here. Both
 	// waits are bounded server-side by maxWait so a stalled pipeline (or a
@@ -786,39 +769,6 @@ func retryAfterRecovery(behind uint64) string {
 		secs = 8
 	}
 	return strconv.Itoa(secs)
-}
-
-// applySync is the synchronous baseline behind WithSyncApply: publish with
-// Apply, then run a full Rank before responding. The triggered Rank runs on
-// a context detached from the request: the batch is already published, so a
-// client disconnect mid-refresh must not abort a rank whose version readers
-// are waiting on (it would leave Behind() > 0 until the next write).
-func (s *Server) applySync(w http.ResponseWriter, r *http.Request, del, ins []dfpr.Edge, kdel, kins []dfpr.KeyEdge, keyed bool) {
-	var seq uint64
-	var err error
-	if keyed {
-		seq, err = s.eng.ApplyKeyed(r.Context(), kdel, kins)
-	} else {
-		seq, err = s.eng.Apply(r.Context(), del, ins)
-	}
-	if err != nil {
-		writeErr(w, statusOf(err), "%v", err)
-		return
-	}
-	// The batch is published from here on: count the accepted write even if
-	// the refresh below fails, so stats reconcile against Version().
-	s.writes.Add(1)
-	resp := applyResponse{Version: seq}
-	res, err := s.eng.Rank(context.WithoutCancel(r.Context()))
-	if err != nil {
-		// The client's request was valid and is already applied; a failing
-		// refresh is a server-side condition, not a 4xx.
-		writeErr(w, refreshStatusOf(err), "batch published as version %d but refresh failed: %v", seq, err)
-		return
-	}
-	resp.RankVersion, resp.Advanced, resp.Rebuilt = res.Seq, res.Advanced, res.Rebuilt
-	resp.Ranked = resp.RankVersion >= seq
-	writeJSON(w, resp.RankVersion, resp)
 }
 
 type waitResponse struct {
@@ -1046,16 +996,6 @@ func waitStatusOf(reqCtx context.Context, err error) int {
 	if errors.Is(err, context.DeadlineExceeded) && reqCtx.Err() == nil {
 		return http.StatusGatewayTimeout
 	}
-	if code := statusOf(err); code != http.StatusBadRequest {
-		return code
-	}
-	return http.StatusInternalServerError
-}
-
-// refreshStatusOf maps a failed post-apply Rank onto HTTP statuses: the
-// request was already validated and applied, so unknown failures are the
-// server's (500), never the client's.
-func refreshStatusOf(err error) int {
 	if code := statusOf(err); code != http.StatusBadRequest {
 		return code
 	}

@@ -261,42 +261,31 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServeApplyRefreshFailureIs5xx arms a crash-everything fault plan with
-// the static fallback off: the batch is accepted and published, so the
-// failing refresh must surface as a server error (5xx, never 4xx) and the
-// write must still be counted.
-func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
-	const n = 32
-	var edges []dfpr.Edge
-	for u := 0; u < n; u++ {
-		edges = append(edges, dfpr.Edge{U: uint32(u), V: uint32((u + 1) % n)})
-	}
-	eng, err := dfpr.New(n, edges,
-		dfpr.WithThreads(2), dfpr.WithTolerance(1e-6), dfpr.WithStaticFallback(false))
+// TestServeShutdownBeforeServe: a Shutdown that runs before Serve still
+// stops the server — Serve returns http.ErrServerClosed at once instead of
+// serving forever on a server its owner already shut down.
+func TestServeShutdownBeforeServe(t *testing.T) {
+	s, err := New(mustEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { eng.Close() })
-	if _, err := eng.Rank(context.Background()); err != nil {
+	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetFaultPlan(dfpr.FaultPlan{CrashWorkers: dfpr.CrashSet(2, 2), Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(eng, WithSyncApply(true))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body, _ := do(t, s.Handler(), "POST", "/v1/apply", `{"ins":[{"u":1,"v":3}]}`, nil)
-	if code < 500 || code >= 600 {
-		t.Fatalf("failing refresh after accepted apply: %d (%v), want 5xx", code, body)
-	}
-	if eng.Version() != 1 {
-		t.Fatalf("batch not published: version %d", eng.Version())
-	}
-	_, stats, _ := do(t, s.Handler(), "GET", "/v1/stats", "", nil)
-	if stats["writes_accepted"].(float64) != 1 {
-		t.Errorf("writes_accepted %v, want 1 (the batch was published)", stats["writes_accepted"])
+	defer l.Close()
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve(l) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Fatalf("Serve after Shutdown = %v, want http.ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Shutdown still serving after 5s")
 	}
 }
 

@@ -25,7 +25,7 @@ type engineMetrics struct {
 	submissions *telemetry.Counter // accepted Submit batches
 	rejectFull  *telemetry.Counter // Submits bounced by the queue bound
 	rejectSize  *telemetry.Counter // batches bounced by the universe bound
-	applies     *telemetry.Counter // versions published through storeApply
+	applies     *telemetry.Counter // versions published (storeApply, applyLogged)
 	growEvents  *telemetry.Counter // publications that widened the universe
 
 	rankSeconds    *telemetry.Histogram // successful rank refresh wall time
@@ -36,7 +36,7 @@ type engineMetrics struct {
 
 	// oldestUnranked arms the publish-to-ranked histogram: the unix-nano
 	// timestamp of the oldest publication no rank has covered yet, 0 when
-	// ranks are current. Armed by storeApply (first publication after a
+	// ranks are current. Armed by notePublished (first publication after a
 	// refresh wins the CAS), drained by publishLocked.
 	oldestUnranked atomic.Int64
 }
@@ -52,7 +52,7 @@ func (e *Engine) Metrics() *telemetry.Registry { return e.met.reg }
 
 // initTelemetry builds the engine's instruments and registers the
 // pull-style views of state the engine already tracks. Called once from
-// both constructors (newEngine and the recovery path) before the engine is
+// both constructors (newEngine and engineAt) before the engine is
 // visible to any other goroutine.
 func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 	m := &engineMetrics{

@@ -5,8 +5,8 @@ import (
 	"sync"
 
 	"dfpr/internal/keymap"
-	"dfpr/internal/topk"
 	"dfpr/internal/snapshot"
+	"dfpr/internal/topk"
 )
 
 // View is an immutable, zero-copy read handle over one published rank
